@@ -1,5 +1,6 @@
 #include "sim/delivery_oracle.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace fbfly
@@ -63,47 +64,137 @@ DeliveryOracle::flowKey(const Flit &f)
                static_cast<std::uint32_t>(f.dst));
 }
 
+template <typename Slot>
+std::size_t
+DeliveryOracle::FlatTable<Slot>::home(std::uint64_t key) const
+{
+    return static_cast<std::size_t>(mix64(key)) & (slots_.size() - 1);
+}
+
+template <typename Slot>
+Slot *
+DeliveryOracle::FlatTable<Slot>::find(std::uint64_t key)
+{
+    if (slots_.empty())
+        return nullptr;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = home(key);; i = (i + 1) & mask) {
+        Slot &s = slots_[i];
+        if (!s.used())
+            return nullptr;
+        if (s.key == key)
+            return &s;
+    }
+}
+
+template <typename Slot>
+std::pair<Slot *, bool>
+DeliveryOracle::FlatTable<Slot>::insert(const Slot &slot)
+{
+    if (2 * (size_ + 1) > slots_.size()) {
+        std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
+        old.swap(slots_);
+        size_ = 0;
+        for (const Slot &s : old) {
+            if (s.used())
+                insert(s);
+        }
+    }
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = home(slot.key);; i = (i + 1) & mask) {
+        Slot &s = slots_[i];
+        if (!s.used()) {
+            s = slot;
+            ++size_;
+            return {&s, true};
+        }
+        if (s.key == slot.key)
+            return {&s, false};
+    }
+}
+
+template <typename Slot>
+void
+DeliveryOracle::FlatTable<Slot>::erase(Slot *s)
+{
+    // Shift later members of the probe run back into the hole, so
+    // every remaining key stays reachable from its home slot.  A
+    // member may move only if the hole lies on its own probe path,
+    // i.e. it sits at least as far from its home as from the hole.
+    const std::size_t mask = slots_.size() - 1;
+    auto hole = static_cast<std::size_t>(s - slots_.data());
+    for (std::size_t i = (hole + 1) & mask; slots_[i].used();
+         i = (i + 1) & mask) {
+        if (((i - home(slots_[i].key)) & mask) >= ((i - hole) & mask)) {
+            slots_[hole] = slots_[i];
+            hole = i;
+        }
+    }
+    slots_[hole] = Slot{};
+    --size_;
+}
+
+bool
+DeliveryOracle::wasDelivered(PacketId id) const
+{
+    return id < deliveredIds_.size() && deliveredIds_[id];
+}
+
 void
 DeliveryOracle::onInject(const Flit &head)
 {
+    const std::uint64_t seq = ++tracked_;
+    // A re-injected id keeps its first entry, live or delivered.
+    if (wasDelivered(head.packet))
+        return;
     const std::uint64_t flow = flowKey(head);
-    Entry e;
-    e.fingerprint = fingerprint(head);
-    e.flow = flow;
-    e.flowSeq = flowInjected_[flow]++;
-    packets_.emplace(head.packet, e);
-    ++tracked_;
+    if (!packets_.insert({head.packet, fingerprint(head), flow, seq})
+             .second)
+        return;
+    const auto [f, fresh] = flows_.insert({flow, 0, 1});
+    if (!fresh)
+        ++f->live;
 }
 
 void
 DeliveryOracle::onEject(const Flit &tail)
 {
-    const auto it = packets_.find(tail.packet);
-    if (it == packets_.end()) {
-        // An ejection that matches nothing we injected: its packet
-        // id (or measured flag) was mangled in transit.
+    LivePacket *p = packets_.find(tail.packet);
+    if (p == nullptr) {
+        // Not live: either delivered before, or an ejection that
+        // matches nothing we injected — its packet id (or measured
+        // flag) was mangled in transit.
+        if (wasDelivered(tail.packet))
+            ++duplicates_;
+        else
+            ++corruptions_;
+        return;
+    }
+    if (fingerprint(tail) != p->fingerprint) {
         ++corruptions_;
         return;
     }
-    Entry &e = it->second;
-    if (e.delivered) {
-        ++duplicates_;
-        return;
-    }
-    if (fingerprint(tail) != e.fingerprint) {
-        ++corruptions_;
-        return;
-    }
-    e.delivered = true;
+    const LivePacket e = *p;
+    packets_.erase(p);
+    if (e.key >= deliveredIds_.size())
+        deliveredIds_.resize(e.key + 1);
+    deliveredIds_[e.key] = true;
     ++delivered_;
-    // In-order per flow: the watermark holds 1 + the highest flowSeq
-    // delivered so far; a delivery below it was overtaken by a later
-    // injection of the same (src, dst) flow.
-    auto &watermark = flowWatermark_[e.flow];
-    if (e.flowSeq < watermark)
+
+    // In-order per flow: the watermark holds the highest seq
+    // delivered on the flow; a delivery below it was overtaken by a
+    // later injection of the same (src, dst) flow.
+    LiveFlow *f = flows_.find(e.flow);
+    if (e.seq < f->watermark)
         ++reorders_;
     else
-        watermark = e.flowSeq + 1;
+        f->watermark = e.seq;
+    // With no live packet left, every later injection on the flow is
+    // newer than all it delivered and can be overtaken only by
+    // another later one, so restarting the flow with watermark 0
+    // leaves every reorder count unchanged.
+    if (--f->live == 0)
+        flows_.erase(f);
 }
 
 OracleReport
@@ -118,10 +209,7 @@ DeliveryOracle::report(std::uint64_t expected_dropped, bool drained,
     rep.reorders = reorders_;
     rep.corruptions = corruptions_;
     rep.expectedDropped = expected_dropped;
-    for (const auto &[id, e] : packets_) {
-        if (!e.delivered)
-            ++rep.outstanding;
-    }
+    rep.outstanding = packets_.size();
     rep.dropped = drained && rep.outstanding > expected_dropped
                       ? rep.outstanding - expected_dropped
                       : 0;

@@ -37,9 +37,11 @@
 #ifndef FBFLY_SIM_DELIVERY_ORACLE_H
 #define FBFLY_SIM_DELIVERY_ORACLE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/types.h"
 #include "network/flit.h"
@@ -94,6 +96,21 @@ struct OracleReport
 
 /**
  * Packet ledger: fingerprints at injection, audits at ejection.
+ *
+ * The ledger keeps only what a later callback can still need, so its
+ * memory is O(measured packets in flight) plus one bit per packet id:
+ *
+ *  - a live table: each tracked, undelivered packet's fingerprint,
+ *    flow and injection order, erased when the packet is delivered;
+ *  - a bitset over the packet-id range marking delivered ids, so a
+ *    duplicate ejection is still told apart from an unknown id;
+ *  - a flow table: the delivery watermark of each (src, dst) flow
+ *    that has a live packet, dropped when its last one is delivered.
+ *
+ * Packet ids must be dense, as Network::nextPacketId draws them: the
+ * bitset spans every id up to the highest one delivered.  Both tables
+ * are flat open-addressing arrays, so no callback allocates per
+ * entry.
  */
 class DeliveryOracle
 {
@@ -101,7 +118,8 @@ class DeliveryOracle
     DeliveryOracle() = default;
 
     /** Record a measured packet entering the network (head flit at
-     *  the source terminal). */
+     *  the source terminal).  A re-injected id keeps its first
+     *  entry. */
     void onInject(const Flit &head);
 
     /** Audit a measured packet leaving the network (tail flit at the
@@ -133,24 +151,81 @@ class DeliveryOracle
     /** Packets tracked so far. */
     std::uint64_t tracked() const { return tracked_; }
 
+    /** Flows the ledger holds: those with a live packet. */
+    std::size_t liveFlows() const { return flows_.size(); }
+
+    /** Packet ids the delivered-id bitset spans. */
+    std::size_t deliveredIdSpan() const { return deliveredIds_.size(); }
+
   private:
-    struct Entry
+    /** A tracked packet not yet delivered. */
+    struct LivePacket
     {
-        std::uint64_t fingerprint;
-        /** Injection order within the packet's (src, dst) flow. */
-        std::uint64_t flowSeq;
-        std::uint64_t flow;
-        bool delivered = false;
+        PacketId key = 0;
+        std::uint64_t fingerprint = 0;
+        /** The (src, dst) flow it was injected on (flowKey). */
+        std::uint64_t flow = 0;
+        /** Its injection order across all flows (1-based); 0 marks an
+         *  empty slot. */
+        std::uint64_t seq = 0;
+
+        bool used() const { return seq != 0; }
+    };
+
+    /** A flow with at least one live packet. */
+    struct LiveFlow
+    {
+        std::uint64_t key = 0;
+        /** Highest seq delivered on the flow since it last had no
+         *  live packet (0: none). */
+        std::uint64_t watermark = 0;
+        /** Its live packets; 0 marks an empty slot. */
+        std::uint64_t live = 0;
+
+        bool used() const { return live != 0; }
+    };
+
+    /**
+     * Hash table stored as one flat slot array: linear probing at
+     * most half full, backward-shift deletion (no tombstones).  Keys
+     * hash through a mixer, because live packet ids are nearly
+     * contiguous and identity hashing would pack them into one long
+     * probe cluster.  `Slot` has a 64-bit `key`, `used()`, and a
+     * default value that is unused.
+     */
+    template <typename Slot>
+    class FlatTable
+    {
+      public:
+        std::size_t size() const { return size_; }
+
+        /** The slot holding `key`, or nullptr. */
+        Slot *find(std::uint64_t key);
+
+        /** Insert `slot` unless its key is present.  Returns the slot
+         *  holding the key and whether it was inserted; the pointer
+         *  is valid until the next insert or erase. */
+        std::pair<Slot *, bool> insert(const Slot &slot);
+
+        /** Remove the slot `s` (from find or insert) points at. */
+        void erase(Slot *s);
+
+      private:
+        std::size_t home(std::uint64_t key) const;
+
+        std::vector<Slot> slots_;
+        std::size_t size_ = 0;
     };
 
     static std::uint64_t fingerprint(const Flit &f);
     static std::uint64_t flowKey(const Flit &f);
 
-    std::unordered_map<PacketId, Entry> packets_;
-    /** Per-flow injection counters. */
-    std::unordered_map<std::uint64_t, std::uint64_t> flowInjected_;
-    /** Per-flow highest delivered flowSeq watermark (+1). */
-    std::unordered_map<std::uint64_t, std::uint64_t> flowWatermark_;
+    bool wasDelivered(PacketId id) const;
+
+    FlatTable<LivePacket> packets_;
+    FlatTable<LiveFlow> flows_;
+    /** Bit `id` is set once packet `id` has been delivered. */
+    std::vector<bool> deliveredIds_;
 
     std::uint64_t tracked_ = 0;
     std::uint64_t delivered_ = 0;
